@@ -23,6 +23,9 @@ import repro.fsst.FsstTable
   * paper's `PBC_F` variant — still strictly per-record, so random access
   * is preserved. `PBC_Z`/`PBC_L` are block-level compositions built on
   * top of [[Framing]] plus a block codec.
+  *
+  * Not thread-safe: `compress` updates the record and outlier counters,
+  * plain `var`s, without synchronization. Use one codec per thread.
   */
 final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
     extends Serializable {
@@ -51,7 +54,9 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
     fsst match {
       case Some(t) =>
         val coded = t.encode(b)
-        val (payload, flag) = if (coded.length < b.length) (coded, 1L) else (b, 0L)
+        val win = coded.length < b.length
+        val payload = if (win) coded else b
+        val flag = if (win) 1L else 0L
         if (lengthPrefixed) out.writeVarInt((payload.length.toLong << 1) | flag)
         else out.writeVarInt(flag)
         out.writeBytes(payload)
@@ -59,6 +64,17 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
         if (lengthPrefixed) out.writeVarInt(b.length.toLong)
         out.writeBytes(b)
     }
+
+  /** Whether a field's value goes through [[writeString]]: VARCHAR, and
+    * in PBC_F mode also CHAR fields long enough for FSST to win (the
+    * paper applies the residual encoder to all string residuals); short
+    * CHARs stay raw, as a length header would cost more than FSST saves.
+    */
+  private def stringCoded(e: FieldEncoder): Boolean = e match {
+    case FieldEncoder.VarChar  => true
+    case FieldEncoder.Char_(n) => fsst.isDefined && n >= 4
+    case _                     => false
+  }
 
   private def readString(in: ByteReader, lengthPrefixed: Boolean): String =
     fsst match {
@@ -79,39 +95,32 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
         new String(raw, UTF_8)
     }
 
+  /** Most fields of any pattern: sizes the per-call capture bounds. */
+  private val maxFields: Int = dict.patterns.foldLeft(0)(_ max _.pattern.numFields)
+
   def compress(record: String): Array[Byte] = {
     recordCount0 += 1
     val out = new ByteWriter(record.length / 2 + 8)
+    val bounds = new Array[Int](2 * maxFields)
     var id = 0
     val n = dict.patterns.length
     while (id < n) {
       val cp = dict.patterns(id)
-      if (cp.pattern.litLen <= record.length) {
-        cp.pattern.matchRecord(record) match {
-          case Some(caps) =>
-            var ok = true
-            var f = 0
-            while (ok && f < caps.length) { ok = cp.encoders(f).accepts(caps(f)); f += 1 }
-            if (ok) {
-              out.writeVarInt(id.toLong + 1L)
-              f = 0
-              while (f < caps.length) {
-                cp.encoders(f) match {
-                  case FieldEncoder.VarChar =>
-                    writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
-                  // PBC_F also re-encodes CHAR fields long enough for FSST
-                  // to win (the paper applies the residual encoder to all
-                  // string residuals); short CHARs stay raw — a length
-                  // header would cost more than FSST could save
-                  case FieldEncoder.Char_(n) if fsst.isDefined && n >= 4 =>
-                    writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
-                  case e => e.encode(caps(f), out)
-                }
-                f += 1
-              }
-              return out.toBytes
-            }
-          case None => ()
+      if (cp.pattern.litLen <= record.length && cp.pattern.matchBounds(record, bounds)) {
+        val caps = Array.tabulate(cp.encoders.length)(f => record.substring(bounds(2 * f), bounds(2 * f + 1)))
+        var ok = true
+        var f = 0
+        while (ok && f < caps.length) { ok = cp.encoders(f).accepts(caps(f)); f += 1 }
+        if (ok) {
+          out.writeVarInt(id.toLong + 1L)
+          f = 0
+          while (f < caps.length) {
+            val e = cp.encoders(f)
+            if (stringCoded(e)) writeString(out, caps(f).getBytes(UTF_8), lengthPrefixed = true)
+            else e.encode(caps(f), out)
+            f += 1
+          }
+          return out.toBytes
         }
       }
       id += 1
@@ -129,13 +138,10 @@ final class PbcCodec(val dict: PatternDictionary, val useFsst: Boolean = false)
     if (h == 0L) readString(in, lengthPrefixed = false)
     else {
       val cp = dict.patterns((h - 1).toInt)
-      cp.pattern.renderWith(cp.encoders.length, f =>
-        cp.encoders(f) match {
-          case FieldEncoder.VarChar => readString(in, lengthPrefixed = true)
-          case FieldEncoder.Char_(n) if fsst.isDefined && n >= 4 =>
-            readString(in, lengthPrefixed = true)
-          case e => e.decode(in)
-        })
+      cp.pattern.renderWith(cp.encoders.length, { f =>
+        val e = cp.encoders(f)
+        if (stringCoded(e)) readString(in, lengthPrefixed = true) else e.decode(in)
+      })
     }
   }
 }

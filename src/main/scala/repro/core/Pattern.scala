@@ -31,6 +31,8 @@ object PTok {
   * its earliest feasible position is complete for `*`-globs, and the
   * final run is anchored at the end of the record when the pattern does
   * not end with a wildcard. Wildcards may capture empty strings.
+  *
+  * Immutable and thread-safe.
   */
 final case class Pattern(tokens: Vector[PTok]) extends Serializable {
   import PTok._
@@ -56,44 +58,60 @@ final case class Pattern(tokens: Vector[PTok]) extends Serializable {
   /** Total literal characters — the paper's tiebreaker ("longest pattern"). */
   val litLen: Int = tokens.count(_.isInstanceOf[Lit])
 
+  /** Captures a match yields: one per wildcard of a normalized pattern. */
+  private val numCaptures: Int =
+    if (runs.isEmpty) (if (numFields == 1) 1 else 0)
+    else runs.length - 1 + (if (startsWithWild) 1 else 0) + (if (endsWithWild) 1 else 0)
+
+  /** Allocation-free match of `s`: writes capture `f`'s start and end
+    * offsets in `s` to `bounds(2f)` and `bounds(2f + 1)` (one capture per
+    * wildcard, in order; `bounds` holds at least `2 * numFields` ints) and
+    * returns whether the pattern matches; on a miss `bounds` may be partly written.
+    */
+  def matchBounds(s: String, bounds: Array[Int]): Boolean = {
+    if (runs.isEmpty) {
+      // pure-wildcard pattern: single field capturing everything
+      if (numFields != 1) return false
+      bounds(0) = 0; bounds(1) = s.length
+      return true
+    }
+    var i = 0
+    var r = 0
+    var f = 0
+    // leading anchored run
+    if (!startsWithWild) {
+      val run = runs(0)
+      if (!s.startsWith(run)) return false
+      i = run.length; r = 1
+    }
+    // trailing anchored run, checked before searching the middle runs
+    var last = runs.length
+    var end = s.length
+    if (!endsWithWild && r < last) {
+      last -= 1
+      end = s.length - runs(last).length
+      if (end < i || !s.startsWith(runs(last), end)) return false
+    }
+    while (r < last) {
+      val run = runs(r)
+      val idx = s.indexOf(run, i)
+      if (idx < 0 || idx + run.length > end) return false
+      bounds(f) = i; bounds(f + 1) = idx; f += 2
+      i = idx + run.length
+      r += 1
+    }
+    if (endsWithWild || last < runs.length) { bounds(f) = i; bounds(f + 1) = end; true }
+    else i == s.length // the one run is the whole pattern
+  }
+
   /** Match `s` against this pattern; returns the captured residual field
     * values (one per wildcard, in order) or None if the pattern does not
     * match.
     */
   def matchRecord(s: String): Option[Vector[String]] = {
-    if (runs.isEmpty) {
-      // pure-wildcard pattern: single field capturing everything
-      return if (numFields == 1) Some(Vector(s)) else None
-    }
-    val caps = Vector.newBuilder[String]
-    var i = 0
-    var r = 0
-    // leading anchored run
-    if (!startsWithWild) {
-      val run = runs(0)
-      if (!s.startsWith(run)) return None
-      i = run.length; r = 1
-    }
-    val lastAnchored = !endsWithWild
-    val lastRunIdx = runs.length - 1
-    while (r < runs.length) {
-      val run = runs(r)
-      if (lastAnchored && r == lastRunIdx) {
-        val start = s.length - run.length
-        if (start < i || !s.startsWith(run, start)) return None
-        caps += s.substring(i, start)
-        i = s.length
-      } else {
-        val idx = s.indexOf(run, i)
-        if (idx < 0) return None
-        caps += s.substring(i, idx)
-        i = idx + run.length
-      }
-      r += 1
-    }
-    if (endsWithWild) caps += s.substring(i)
-    else if (i != s.length) return None
-    Some(caps.result())
+    val b = new Array[Int](2 * numCaptures)
+    if (!matchBounds(s, b)) None
+    else Some(Vector.tabulate(numCaptures)(f => s.substring(b(2 * f), b(2 * f + 1))))
   }
 
   /** Literal chunks around the fields: `chunk(0) f0 chunk(1) f1 ... chunk(n)`

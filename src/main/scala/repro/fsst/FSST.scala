@@ -1,6 +1,8 @@
 package repro.fsst
 
 import java.io.ByteArrayOutputStream
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
 import repro.core.{ByteReader, ByteWriter}
 
 /** Fast Static Symbol Table (FSST; Boncz, Neumann & Leis, VLDB 2020),
@@ -15,58 +17,59 @@ import repro.core.{ByteReader, ByteWriter}
   * Training follows the paper's iterative bottom-up construction: encode
   * the sample with the current table, count emitted symbols and adjacent
   * pairs, score candidates by `gain = count * length`, keep the best 255.
+  *
+  * Encoding looks symbols up as the paper does: a 65 536-entry table on
+  * the next two bytes, then word compares for longer symbols.
+  *
+  * Immutable and thread-safe: the lookup index is a lazy val, built once
+  * and published safely, and encode/decode keep their state on the stack.
   */
 final class FsstTable(val symbols: Array[Array[Byte]]) extends Serializable {
   require(symbols.length <= 255, s"at most 255 symbols, got ${symbols.length}")
   require(symbols.forall(s => s.length >= 1 && s.length <= 8), "symbols are 1..8 bytes")
 
-  /** First-byte index: candidates sorted longest-first for greedy match. */
-  @transient private lazy val byFirst: Array[Array[Int]] = {
-    val tmp = Array.fill(256)(List.empty[Int])
-    symbols.indices.foreach { i =>
-      val fb = symbols(i)(0) & 0xff
-      tmp(fb) = i :: tmp(fb)
-    }
-    tmp.map(_.sortBy(i => -symbols(i).length).toArray)
-  }
+  /** Lookup index (see [[FsstTable.Index]]), built on first use and never serialized. */
+  @transient private lazy val index: FsstTable.Index = FsstTable.Index(symbols)
 
-  private def matchesAt(input: Array[Byte], pos: Int, sym: Array[Byte]): Boolean = {
-    if (pos + sym.length > input.length) return false
-    var i = 0
-    while (i < sym.length) {
-      if (input(pos + i) != sym(i)) return false
-      i += 1
+  /** Code of the longest symbol at `pos` (`pos < input.length`), or -1;
+    * among duplicate symbols the highest code wins.
+    */
+  private def matchAt(ix: FsstTable.Index, input: Array[Byte], pos: Int): Int = {
+    val left = input.length - pos
+    if (left == 1) return ix.single(input(pos) & 0xff)
+    val word = FsstTable.loadLE(input, pos, left)
+    val e = ix.pair(word.toInt & 0xffff)
+    var c = e >>> 16
+    val end = c + ((e >>> 8) & 0xff)
+    while (c < end) {
+      if (ix.longLen(c) <= left && (word & ix.longMask(c)) == ix.longWord(c)) return ix.longCode(c)
+      c += 1
     }
-    true
+    val best = e & 0xff
+    if (best == 0xff) -1 else best
   }
 
   /** Code of the longest symbol matching at `pos`, or -1. */
-  def longestMatch(input: Array[Byte], pos: Int): Int = {
-    val cands = byFirst(input(pos) & 0xff)
-    var ci = 0
-    while (ci < cands.length) {
-      if (matchesAt(input, pos, symbols(cands(ci)))) return cands(ci)
-      ci += 1
-    }
-    -1
-  }
+  def longestMatch(input: Array[Byte], pos: Int): Int = matchAt(index, input, pos)
 
   /** Greedy longest-match encoding. */
   def encode(input: Array[Byte]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(math.max(16, input.length))
+    val ix = index
+    val out = new Array[Byte](2 * input.length) // every byte escaped
+    var o = 0
     var pos = 0
     while (pos < input.length) {
-      val code = longestMatch(input, pos)
+      val code = matchAt(ix, input, pos)
       if (code >= 0) {
-        out.write(code)
-        pos += symbols(code).length
+        out(o) = code.toByte; o += 1
+        pos += ix.codeLen(code)
       } else {
-        out.write(0xff) // escape
-        out.write(input(pos))
+        out(o) = 0xff.toByte // escape
+        out(o + 1) = input(pos); o += 2
         pos += 1
       }
     }
-    out.toByteArray
+    java.util.Arrays.copyOf(out, o)
   }
 
   def decode(coded: Array[Byte]): Array[Byte] = {
@@ -94,6 +97,69 @@ object FsstTable {
 
   /** The identity table: everything escaped (used before training). */
   val empty: FsstTable = new FsstTable(Array.empty)
+
+  private val LongLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+
+  /** Up to 8 bytes from `pos` as a little-endian word; `left` is the
+    * number of input bytes from `pos` on, and missing bytes read as 0.
+    */
+  private def loadLE(b: Array[Byte], pos: Int, left: Int): Long =
+    if (left >= 8) (LongLE.get(b, pos): Long) // ascribed: compiles to get([BI)J, no boxing
+    else {
+      var w = 0L
+      var i = 0
+      while (i < left) { w |= (b(pos + i) & 0xffL) << (8 * i); i += 1 }
+      w
+    }
+
+  /** Symbol lookup after the FSST paper: one table lookup on the next two
+    * bytes yields the best 1-2-byte code and the range of the 3-8-byte
+    * symbols sharing that prefix, which are then compared longest-first,
+    * each as one masked little-endian word.
+    *
+    * `pair(b0 | b1 << 8)` packs: bits 0-7 the best code for `b0 b1` (the
+    * 2-byte symbol, else the 1-byte symbol `b0`, else 255 for none), bits
+    * 8-15 the number of long candidates and bits 16-23 the first one's
+    * slot in the `long*` arrays. `single(b0)` is the code for a last
+    * input byte. Among duplicate symbols the highest code is found first.
+    */
+  private final class Index(
+      val single: Array[Int],
+      val pair: Array[Int],
+      val longWord: Array[Long],
+      val longMask: Array[Long],
+      val longLen: Array[Int],
+      val longCode: Array[Int],
+      val codeLen: Array[Int])
+
+  private object Index {
+    def apply(symbols: Array[Array[Byte]]): Index = {
+      val single = Array.fill(256)(-1)
+      val byPair = Array.fill(1 << 16)(-1)
+      val codes = symbols.indices
+      for (c <- codes) {
+        val s = symbols(c)
+        if (s.length == 1) single(s(0) & 0xff) = c
+        else if (s.length == 2) byPair(key(s)) = c
+      }
+      val longs = codes.filter(symbols(_).length > 2)
+        .sortBy(c => (key(symbols(c)), -symbols(c).length, -c))
+      val pair = Array.tabulate(1 << 16) { k =>
+        (if (byPair(k) >= 0) byPair(k) else single(k & 0xff)) & 0xff
+      }
+      longs.indices.groupBy(i => key(symbols(longs(i)))).foreach { case (k, slots) =>
+        pair(k) |= slots.min << 16 | slots.size << 8
+      }
+      new Index(single, pair,
+        longs.map(c => loadLE(symbols(c), 0, symbols(c).length)).toArray,
+        longs.map(c => -1L >>> (64 - 8 * symbols(c).length)).toArray,
+        longs.map(symbols(_).length).toArray,
+        longs.toArray,
+        symbols.map(_.length))
+    }
+
+    private def key(s: Array[Byte]): Int = (s(0) & 0xff) | (s(1) & 0xff) << 8
+  }
 }
 
 object Fsst {

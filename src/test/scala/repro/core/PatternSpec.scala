@@ -4,6 +4,43 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropUtil
 import PTok._
 
+/** The matcher `Pattern.matchRecord` used before `matchBounds`: literal
+  * runs at their earliest position, the trailing run anchored at the end,
+  * captures built as it goes. Kept as the reference the allocation-free
+  * matcher must agree with.
+  */
+object PatternReference {
+  def matchRecord(p: Pattern, s: String): Option[Vector[String]] = {
+    val runs = p.runs
+    if (runs.isEmpty) return if (p.numFields == 1) Some(Vector(s)) else None
+    val caps = Vector.newBuilder[String]
+    var i = 0
+    var r = 0
+    if (!p.startsWithWild) {
+      if (!s.startsWith(runs(0))) return None
+      i = runs(0).length; r = 1
+    }
+    while (r < runs.length) {
+      val run = runs(r)
+      if (!p.endsWithWild && r == runs.length - 1) {
+        val start = s.length - run.length
+        if (start < i || !s.startsWith(run, start)) return None
+        caps += s.substring(i, start)
+        i = s.length
+      } else {
+        val idx = s.indexOf(run, i)
+        if (idx < 0) return None
+        caps += s.substring(i, idx)
+        i = idx + run.length
+      }
+      r += 1
+    }
+    if (p.endsWithWild) caps += s.substring(i)
+    else if (i != s.length) return None
+    Some(caps.result())
+  }
+}
+
 class PatternSpec extends AnyFunSuite with PropUtil {
 
   private def pat(glob: String): Pattern =
@@ -155,6 +192,51 @@ class PatternSpec extends AnyFunSuite with PropUtil {
         assert(p.matchRecord(s).isDefined == re.matcher(s).matches(),
           s"glob='$globStr' s='$s'")
       }
+    }
+  }
+
+  // ---- the allocation-free matcher agrees with the reference ----
+
+  private def assertSameAsReference(p: Pattern, s: String): Unit = {
+    val want = PatternReference.matchRecord(p, s)
+    assert(p.matchRecord(s) == want, s"glob='${p.glob}' s='$s'")
+    val bounds = Array.fill(2 * p.numFields)(-1)
+    assert(p.matchBounds(s, bounds) == want.isDefined, s"glob='${p.glob}' s='$s'")
+    want.foreach { caps =>
+      caps.indices.foreach(f => assert(s.substring(bounds(2 * f), bounds(2 * f + 1)) == caps(f)))
+    }
+  }
+
+  test("matcher agrees with the reference on edge cases") {
+    val cases = Seq(
+      "*" -> Seq("", "a", "aaa"),
+      "a*b" -> Seq("ab", "aab", "abb", "a", "b", "ba", "abab"),
+      "ab" -> Seq("ab", "", "abab"),
+      "*aa*a" -> Seq("aaa", "aa", "aaaa", "aaba"),
+      "*ab*ab" -> Seq("abab", "ab", "aabab"),
+      "a*a*a" -> Seq("a", "aa", "aaa", "aaaa"),
+      "*a*" -> Seq("", "a", "ba", "bab"),
+      "ab*ba" -> Seq("aba", "abba", "abxba")
+    )
+    for ((g, ss) <- cases; s <- ss) assertSameAsReference(pat(g), s)
+    // unnormalized token vectors keep their old captures too
+    assertSameAsReference(Pattern(Vector(Wild, Wild)), "ab")
+    assertSameAsReference(Pattern(Vector(Lit('a'), Wild, Wild, Lit('b'))), "axb")
+    assertSameAsReference(Pattern(Vector.empty), "")
+  }
+
+  test("property: matcher agrees with the reference on random globs") {
+    forAllSeeded(3000) { r =>
+      val letters = 2 + r.nextInt(2)
+      def letter(): Char = ('a' + r.nextInt(letters)).toChar
+      val globStr = (1 to 1 + r.nextInt(7)).map(_ => if (r.nextInt(3) == 0) '*' else letter()).mkString
+      val p = pat(globStr)
+      (0 until 10).foreach { _ =>
+        assertSameAsReference(p, (1 to r.nextInt(10)).map(_ => letter()).mkString)
+      }
+      // records built from the glob, so that most of them match
+      val filled = globStr.flatMap(c => if (c == '*') (1 to r.nextInt(3)).map(_ => letter()).mkString else c.toString)
+      assertSameAsReference(p, filled)
     }
   }
 }
